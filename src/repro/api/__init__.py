@@ -21,9 +21,8 @@ without re-executing, and :class:`QueryServer` /
 (``repro serve``).  See ``docs/serving.md``.
 
 The CLI, the benchmark harness and the examples are all built on this
-module; legacy entry points (``repro.quickstart_cluster``, direct
-``GStoreDEngine`` construction) keep working but the new code path is this
-one.  See ``docs/api.md`` for the full tour and the old→new migration table.
+module; direct ``GStoreDEngine`` construction keeps working but the new
+code path is this one.  See ``docs/api.md`` for the full tour and the old→new migration table.
 """
 
 from .engines import (

@@ -15,7 +15,6 @@ result, as discussed in DESIGN.md.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -35,7 +34,7 @@ from ..store.matcher import LocalMatcher
 from ..distributed.cluster import Cluster, build_cluster
 from ..partition.cost_model import partitioning_cost
 from ..partition.fragment import PartitionedGraph
-from ..partition.partitioners import make_partitioner as _make_partitioner
+from ..partition.partitioners import make_partitioner
 from ..rdf.graph import RDFGraph
 from ..sparql.algebra import SelectQuery
 from ..datasets.registry import DATASETS, LUBM_SCALES, get_dataset
@@ -62,22 +61,6 @@ class PreparedWorkload:
     queries: Dict[str, SelectQuery] = field(default_factory=dict)
 
 
-def make_partitioner(strategy: str, num_sites: int):
-    """Legacy alias of :func:`repro.partition.make_partitioner`.
-
-    .. deprecated:: 1.1
-        Import ``make_partitioner`` from :mod:`repro.partition` (or use
-        ``repro.open(partitioner=...)``, which partitions for you).
-    """
-    warnings.warn(
-        "repro.bench.make_partitioner is deprecated; use "
-        "repro.partition.make_partitioner (or repro.open(partitioner=...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _make_partitioner(strategy, num_sites)
-
-
 def prepare_workload(
     dataset: str,
     scale: Optional[int] = None,
@@ -88,7 +71,7 @@ def prepare_workload(
     spec = get_dataset(dataset)
     scale = scale if scale is not None else spec.default_scale
     graph = spec.generate(scale)
-    partitioned = _make_partitioner(strategy, num_sites).partition(graph)
+    partitioned = make_partitioner(strategy, num_sites).partition(graph)
     return PreparedWorkload(
         dataset=dataset,
         scale=scale,
@@ -377,7 +360,7 @@ def partitioning_cost_table(
         graph = spec.generate(scale if scale is not None else spec.default_scale)
         row: Dict[str, object] = {"dataset": dataset}
         for strategy in PARTITIONING_STRATEGIES:
-            partitioned = _make_partitioner(strategy, num_sites).partition(graph)
+            partitioned = make_partitioner(strategy, num_sites).partition(graph)
             row[strategy] = round(partitioning_cost(partitioned).cost, 2)
         rows.append(row)
     return rows

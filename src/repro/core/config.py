@@ -69,14 +69,6 @@ class EngineConfig:
     #: Workers for the ``"threads"`` / ``"processes"`` backends; ``None``
     #: resolves from $REPRO_MAX_WORKERS and defaults to the CPU count.
     max_workers: Optional[int] = None
-    #: Intra-site sharding: split each site's star-shortcut local evaluation
-    #: into this many depth-0 frontier shards, fanned out as independent
-    #: site tasks (``K`` tasks per site) that the coordinator reassembles in
-    #: shard order.  Purely a scheduling knob, like ``executor``: answers,
-    #: ``search_steps`` and shipment accounting are bit-identical for every
-    #: value, so small fragments of a skewed partitioning can still occupy
-    #: the whole worker pool.
-    shards_per_site: int = 1
 
     # ------------------------------------------------------------------
     # Named configurations
@@ -160,7 +152,6 @@ class EngineConfig:
             "plan_cache_size": self.plan_cache_size,
             "executor": self.executor or "auto",
             "max_workers": self.max_workers or "auto",
-            "shards_per_site": self.shards_per_site,
         }
 
 

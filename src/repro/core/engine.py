@@ -54,7 +54,6 @@ from ..planner.plan import QueryPlan
 from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import Binding, ResultSet
 from ..sparql.query_graph import QueryGraph
-from ..store import finalize_matches
 from .assembly import AssemblyOutcome, assemble_matches
 from .candidate_exchange import GlobalCandidateFilter, union_site_vectors
 from .config import EngineConfig
@@ -451,59 +450,30 @@ class GStoreDEngine:
         trace: Optional[Trace] = None,
         profiler: Optional[StageProfiler] = None,
     ) -> List[Binding]:
-        """Evaluate a star query purely locally at every site.
-
-        With ``config.shards_per_site > 1`` each site's search is fanned out
-        as that many depth-0 frontier shards (independent site tasks over the
-        same store).  The merge below reassembles each site: shard bindings
-        are concatenated in shard order and finalized once, reproducing the
-        unsharded site result bit for bit, and only then does *one* message
-        per site hit the bus — so answers, ``search_steps`` and shipment
-        accounting are identical for every shard count.
-        """
+        """Evaluate a star query purely locally at every site."""
         stage = stats.stage(STAGE_PARTIAL_EVAL)
-        shards = max(1, self.config.shards_per_site)
-        tasks = local_eval_tasks(self._live_site_ids(ctx), query, shards)
+        tasks = local_eval_tasks(self._live_site_ids(ctx), query)
         all_bindings: List[Binding] = []
         with stage_scope(trace, profiler, STAGE_PARTIAL_EVAL, star_shortcut=True) as span:
-            # Group the results by site first: tasks come back in submission
-            # order (site ascending, then shard ascending), and a site whose
-            # shard died unrecoverably mid-stage must not ship the shards
-            # that did succeed.
-            outcomes_by_site: Dict[int, List[object]] = {}
-            site_order: List[int] = []
             for result in self._run_site_tasks(tasks, timer, STAGE_PARTIAL_EVAL, trace, ctx):
-                if result.site_id not in outcomes_by_site:
-                    outcomes_by_site[result.site_id] = []
-                    site_order.append(result.site_id)
-                outcomes_by_site[result.site_id].append(result.value)
-            for site_id in site_order:
-                if ctx is not None and site_id in ctx.lost_sites:
-                    continue
-                outcomes = outcomes_by_site[site_id]
-                if shards == 1:
-                    matches = outcomes[0].matches
-                else:
-                    raw = [
-                        binding for outcome in outcomes for binding in outcome.matches
-                    ]
-                    matches = list(finalize_matches(query, raw))
+                outcome = result.value
                 shipped = self.cluster.bus.send(
-                    site_id,
+                    result.site_id,
                     COORDINATOR,
                     "local_matches",
-                    matches,
+                    outcome.matches,
                     STAGE_PARTIAL_EVAL,
                 )
                 stage.shipped_bytes += shipped
                 stage.messages += 1
-                all_bindings.extend(matches)
-                stats.work["search_steps"] = stats.work.get("search_steps", 0) + sum(
-                    outcome.search_steps for outcome in outcomes
+                all_bindings.extend(outcome.matches)
+                stats.work["search_steps"] = (
+                    stats.work.get("search_steps", 0) + outcome.search_steps
                 )
-                stats.work["kernel_intersections"] = stats.work.get(
-                    "kernel_intersections", 0
-                ) + sum(outcome.kernel_intersections for outcome in outcomes)
+                stats.work["kernel_intersections"] = (
+                    stats.work.get("kernel_intersections", 0)
+                    + outcome.kernel_intersections
+                )
             if span is not None:
                 span.set(shipped_bytes=stage.shipped_bytes, messages=stage.messages)
         stage.site_times_s.update(timer.site_times(STAGE_PARTIAL_EVAL))

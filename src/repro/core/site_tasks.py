@@ -84,16 +84,9 @@ class LocalEvalOutput:
     bus with the list itself, exactly as before this wrapper existed);
     ``search_steps`` is a work counter folded into
     :attr:`~repro.distributed.QueryStatistics.work` in the serial merge.
-
-    With intra-site sharding (``shard`` set) this is *one shard's* slice:
-    ``matches`` then holds the shard's raw, unprojected bindings — the
-    coordinator concatenates a site's shards in shard order and finalizes
-    (projection/DISTINCT/LIMIT) once, reproducing the unsharded site result
-    bit for bit before anything touches the bus.
     """
 
-    #: The site's fragment-local matches (the shipped payload), or one
-    #: shard's raw bindings when ``shard`` is set.
+    #: The site's fragment-local matches (the shipped payload).
     matches: List[Binding]
     #: Matcher search steps the local evaluation cost (never shipped).
     search_steps: int = 0
@@ -101,8 +94,6 @@ class LocalEvalOutput:
     kernel: str = ""
     #: Candidate-column intersections the kernel performed (observability).
     kernel_intersections: int = 0
-    #: ``(shard_index, num_shards)`` when this output is one shard's slice.
-    shard: Optional[Tuple[int, int]] = None
 
 
 @dataclass(frozen=True)
@@ -133,26 +124,15 @@ def run_local_eval(site, payload: Mapping[str, object]) -> LocalEvalOutput:
 
     The star-query shortcut: every match of a star query is contained in a
     single fragment because crossing edges are replicated.
-
-    A ``"shard"`` payload entry (absent for unsharded runs, so the pickled
-    payload is byte-identical to before sharding existed) turns this into one
-    slice of the site's search: the matcher partitions the depth-0 candidate
-    frontier and this shard returns its raw, unprojected bindings for the
-    coordinator to reassemble (see :class:`LocalEvalOutput`).
     """
     query: SelectQuery = payload["query"]
-    shard: Optional[Tuple[int, int]] = payload.get("shard")
+    matches = list(site.local_evaluate(query))
     matcher = site.store.matcher
-    if shard is None:
-        matches = list(site.local_evaluate(query))
-    else:
-        matches = site.local_evaluate_shard(query, shard[0], shard[1])
     return LocalEvalOutput(
         matches=matches,
         search_steps=matcher.search_steps,
         kernel=matcher.last_kernel,
         kernel_intersections=matcher.kernel_intersections,
-        shard=shard,
     )
 
 
@@ -228,28 +208,9 @@ def run_lec_filter(site, payload: Mapping[str, object]) -> List[LocalPartialMatc
 # ----------------------------------------------------------------------
 # Descriptor builders (what the engine's stages submit)
 # ----------------------------------------------------------------------
-def local_eval_tasks(
-    site_ids: Sequence[int], query: SelectQuery, shards_per_site: int = 1
-) -> List[SiteTask]:
-    """Star-shortcut fan-out: evaluate ``query`` locally at every site.
-
-    With ``shards_per_site > 1`` each site's search is split into that many
-    depth-0 frontier shards — ``K`` tasks per site under the same
-    ``TASK_LOCAL_EVAL`` name, emitted in ``(site_id, shard_index)`` order so
-    the coordinator's submission-order merge can reassemble each site's
-    shards contiguously and in order.  Unsharded payloads carry no
-    ``"shard"`` key at all, keeping them byte-identical to the pre-sharding
-    engine.
-    """
-    if shards_per_site <= 1:
-        return [
-            SiteTask(site_id, TASK_LOCAL_EVAL, {"query": query}) for site_id in site_ids
-        ]
-    return [
-        SiteTask(site_id, TASK_LOCAL_EVAL, {"query": query, "shard": (shard, shards_per_site)})
-        for site_id in site_ids
-        for shard in range(shards_per_site)
-    ]
+def local_eval_tasks(site_ids: Sequence[int], query: SelectQuery) -> List[SiteTask]:
+    """Star-shortcut fan-out: evaluate ``query`` locally at every site."""
+    return [SiteTask(site_id, TASK_LOCAL_EVAL, {"query": query}) for site_id in site_ids]
 
 
 def candidate_vector_tasks(

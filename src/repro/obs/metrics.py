@@ -276,7 +276,6 @@ def record_query(
     encoded_rebuilds: Optional[int] = None,
     encoded_patches: Optional[int] = None,
     kernel: str = "",
-    shards_per_site: int = 1,
 ) -> None:
     """Translate one finished query's statistics into metric updates.
 
@@ -322,17 +321,13 @@ def record_query(
     ).inc(work.get("search_steps", 0))
     # Kernel families (always present, even at zero, so scrapes and the CI
     # smoke jobs can assert on them unconditionally): which matching kernel
-    # served the query, how many candidate-column intersections it performed,
-    # and how many intra-site shards each site's evaluation fanned out to.
+    # served the query and how many candidate-column intersections it
+    # performed.
     registry.counter(
         "repro_kernel_intersections_total",
         "Candidate-column intersections performed by the matching kernel.",
         kernel=kernel or "unknown",
     ).inc(work.get("kernel_intersections", 0))
-    registry.gauge(
-        "repro_kernel_shards_active",
-        "Configured intra-site shards per site for local evaluation.",
-    ).set(max(1, shards_per_site))
     # Fault-recovery families (always present, zero on clean runs) so the
     # chaos-smoke CI job and dashboards can assert on them unconditionally.
     registry.counter(

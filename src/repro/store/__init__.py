@@ -7,12 +7,10 @@ from .kernel import (
     KERNEL_ENV,
     KERNEL_PYTHON,
     KERNEL_SETS,
-    KERNEL_VECTORIZED,
     default_kernel,
     resolve_kernel,
-    shard_bounds,
 )
-from .matcher import LocalMatcher, evaluate_centralized, finalize_matches
+from .matcher import LocalMatcher, evaluate_centralized
 from .signatures import DEFAULT_SIGNATURE_BITS, SignatureIndex, VertexSignature
 from .triple_store import TripleStore
 
@@ -23,7 +21,6 @@ __all__ = [
     "KERNEL_ENV",
     "KERNEL_PYTHON",
     "KERNEL_SETS",
-    "KERNEL_VECTORIZED",
     "LocalMatcher",
     "SignatureIndex",
     "TermDictionary",
@@ -35,7 +32,5 @@ __all__ = [
     "edge_supported",
     "encoded_view",
     "evaluate_centralized",
-    "finalize_matches",
     "resolve_kernel",
-    "shard_bounds",
 ]

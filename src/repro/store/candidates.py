@@ -98,17 +98,18 @@ def compute_candidate_ids(
     but input and output stay in the integer domain of ``encoded``.
 
     ``kernel`` picks the filtering substrate (``None`` means the process
-    default, :func:`repro.store.kernel.default_kernel`): the array kernels
-    filter the seed pool with numpy bit-matrix signature containment and
-    sorted-column membership instead of per-id Python bit ops.  The choice
-    never changes the returned sets — only how fast they are computed.
+    default, :func:`repro.store.kernel.default_kernel`): the ``python``
+    kernel filters the seed pool by sorted-column membership, the ``sets``
+    oracle by per-edge probes.  The choice never changes the returned sets
+    — only how fast they are computed.
     """
     from .kernel import KERNEL_SETS, make_runner, resolve_kernel
 
-    if resolve_kernel(kernel) != KERNEL_SETS:
-        runner = make_runner(resolve_kernel(kernel), encoded, signature_index)
+    kernel = resolve_kernel(kernel)
+    if kernel != KERNEL_SETS:
+        runner = make_runner(kernel, encoded, signature_index)
         pools = runner.compute_pools(query, relaxed_edges)
-        return {vertex: set(map(int, pool)) for vertex, pool in pools.items()}
+        return {vertex: set(pool) for vertex, pool in pools.items()}
     relaxed_edges = relaxed_edges or {}
     candidates: Dict[PatternTerm, Set[int]] = {}
     for query_vertex in query.vertices:
@@ -192,7 +193,7 @@ def _variable_candidate_ids(
             return set()
     assert seed is not None
     needed = index.query_signature(query, query_vertex, skip_edges=relaxed).bits
-    signature_bits = index.bits_table(encoded)
+    signature_bits = index.bits_matrix(encoded)
     survivors: Set[int] = set()
     for vertex_id in seed:
         if (signature_bits[vertex_id] & needed) != needed:

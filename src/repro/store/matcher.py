@@ -11,23 +11,16 @@ per-edge support) done upfront.  Variables on predicates are supported.
 Distinct query vertices may map to the same data vertex (homomorphism, not
 isomorphism), matching SPARQL semantics.
 
-Since the dictionary-encoding PR the search runs entirely on dense integer
-ids from :mod:`repro.store.encoding`; since the vectorized-kernel PR the
-per-depth candidate computation is delegated to a pluggable *match runner*
-(:mod:`repro.store.kernel`): the ``vectorized`` kernel narrows candidates by
-galloping merge-join over sorted numpy columns, ``python`` does the same
-over sorted lists, and ``sets`` is the original hash-set path kept as the
-reference oracle.  The search itself is a batched backtracking frontier —
-one runner call computes a whole depth's ordered candidates at once — and
-every kernel produces the identical match sequence and identical
+The search runs entirely on dense integer ids from
+:mod:`repro.store.encoding`, and the per-depth candidate computation is
+delegated to a *match runner* (:mod:`repro.store.kernel`): the ``python``
+kernel narrows candidates by galloping merge-join over sorted adjacency
+lists, and ``sets`` is the original hash-set path kept as the reference
+oracle.  The search itself is a batched backtracking frontier — one runner
+call computes a whole depth's ordered candidates at once — and both
+runners produce the identical match sequence and identical
 ``search_steps`` (the frontier's pre-consistency candidate count per depth,
 exactly what the per-candidate loop used to charge).
-
-The first search depth can additionally be sliced into contiguous shards
-(:meth:`LocalMatcher.shard_matches`): nothing is assigned at depth 0, so the
-depth-0 frontier is always the full sorted pool, and slicing it partitions
-the match sequence and the step counts exactly — the foundation of
-intra-site sharding in :mod:`repro.core.site_tasks`.
 
 Assignments decode back to :class:`~repro.rdf.terms.Node` objects only when
 a complete match is yielded.
@@ -35,7 +28,7 @@ a complete match is yielded.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..planner.optimizer import QueryPlanner
 from ..rdf.graph import RDFGraph
@@ -46,20 +39,6 @@ from ..sparql.query_graph import QueryGraph, traversal_order
 from .encoding import encoded_view
 from .kernel import MatchRunner, make_runner, resolve_kernel
 from .signatures import SignatureIndex
-
-
-def finalize_matches(query: SelectQuery, bindings: Iterable[Binding]) -> ResultSet:
-    """Turn raw match bindings into the query's final solution sequence.
-
-    Projection, DISTINCT and LIMIT — the per-query postlude that must run
-    over the *complete* match stream.  Split out of :meth:`LocalMatcher.
-    evaluate` so the sharded path can concatenate per-shard raw bindings in
-    shard order and finalize once, producing the bit-identical ``ResultSet``
-    the unsharded evaluation yields.
-    """
-    results = ResultSet(list(bindings), query.variables)
-    projected = results.project(query.effective_projection, distinct=query.distinct)
-    return projected.limit(query.limit)
 
 
 class LocalMatcher:
@@ -76,8 +55,9 @@ class LocalMatcher:
         self._signatures = signature_index or SignatureIndex(graph)
         self._planner = planner
         #: Kernel name pinned at construction, or ``None`` to resolve the
-        #: process default (``$REPRO_KERNEL``, else vectorized-if-numpy) on
-        #: every call — so one warm matcher follows the environment.
+        #: process default (``$REPRO_KERNEL``, else ``python``) on every
+        #: call — so one warm matcher follows the environment.  Only the
+        #: parity suites pin the ``sets`` oracle.
         self._kernel = kernel
         #: Number of candidate assignments attempted by the most recent
         #: ``find_matches``/``evaluate`` call (a deterministic work measure
@@ -117,45 +97,15 @@ class LocalMatcher:
         combined with a cross product, mirroring the paper's assumption that
         connected components are considered separately.
         """
-        if not query.bgp.connected_components():
-            return ResultSet([], query.effective_projection)
-        return finalize_matches(query, self.raw_matches(query))
-
-    def raw_matches(
-        self,
-        query: SelectQuery,
-        shard: Optional[Tuple[int, int]] = None,
-    ) -> List[Binding]:
-        """Every BGP match of ``query`` as unprojected bindings.
-
-        The shard-mergeable form of :meth:`evaluate`: projection/DISTINCT/
-        LIMIT are *not* applied (they only commute with concatenation when
-        run over the complete stream — :func:`finalize_matches` does that).
-
-        ``shard`` is a ``(shard_index, num_shards)`` slice of the search:
-        single-component queries slice the depth-0 candidate frontier, so
-        concatenating the shards' bindings in shard order reproduces the
-        unsharded sequence and the per-shard ``search_steps`` sum to the
-        unsharded total.  Queries that do not decompose that way (empty or
-        multi-component BGPs, whose results are cross products) fall back to
-        shard 0 evaluating everything while the other shards return nothing.
-        """
         components = query.bgp.connected_components()
-        self.search_steps = 0
-        self.kernel_intersections = 0
-        self.last_kernel = resolve_kernel(self._kernel)
         if not components:
-            return []
-        if shard is not None and len(components) != 1:
-            if shard[0] > 0:
-                return []
-            shard = None
+            return ResultSet([], query.effective_projection)
         partial: List[List[Dict[PatternTerm, Node]]] = []
         steps = 0
         intersections = 0
         for component in components:
             graph = QueryGraph(component)
-            partial.append(list(self.find_matches(graph, shard=shard)))
+            partial.append(list(self.find_matches(graph)))
             steps += self.search_steps
             intersections += self.kernel_intersections
         self.search_steps = steps
@@ -163,19 +113,15 @@ class LocalMatcher:
         combined = partial[0]
         for extra in partial[1:]:
             combined = [{**left, **right} for left in combined for right in extra]
-        return [self._to_binding(assignment) for assignment in combined]
-
-    def shard_matches(
-        self, query: SelectQuery, shard_index: int, num_shards: int
-    ) -> List[Binding]:
-        """One shard's slice of :meth:`raw_matches` (see there for the contract)."""
-        return self.raw_matches(query, shard=(shard_index, num_shards))
+        bindings = [self._to_binding(assignment) for assignment in combined]
+        results = ResultSet(bindings, query.variables)
+        projected = results.project(query.effective_projection, distinct=query.distinct)
+        return projected.limit(query.limit)
 
     def find_matches(
         self,
         query: QueryGraph,
         order: Optional[Sequence[PatternTerm]] = None,
-        shard: Optional[Tuple[int, int]] = None,
     ) -> Iterator[Dict[PatternTerm, Node]]:
         """Yield complete assignments (query vertex → data vertex) for ``query``.
 
@@ -184,8 +130,6 @@ class LocalMatcher:
         static :func:`traversal_order`.  Any permutation of the query
         vertices yields the same matches — the order only changes how much
         of the search space is explored before failures are detected.
-
-        ``shard`` slices the depth-0 frontier (see :meth:`raw_matches`).
         """
         self.search_steps = 0
         self.kernel_intersections = 0
@@ -207,7 +151,7 @@ class LocalMatcher:
             assignment: List[Optional[int]] = [None] * query.num_vertices
             term_of = encoded.dictionary.term_of
             positions = range(len(compiled))
-            for _ in self._extend(assignment, compiled, 0, runner, shard):
+            for _ in self._extend(assignment, compiled, runner):
                 # The inner generator is suspended with every slot assigned,
                 # so the complete match decodes straight off the assignment.
                 yield {
@@ -228,9 +172,7 @@ class LocalMatcher:
         self,
         assignment: List[Optional[int]],
         compiled: List[object],
-        start_depth: int,
         runner: MatchRunner,
-        shard: Optional[Tuple[int, int]],
     ) -> Iterator[None]:
         """DFS over the compiled vertices; yields once per complete match.
 
@@ -243,7 +185,6 @@ class LocalMatcher:
         count the old per-candidate loop accumulated lazily (all callers
         consume the generator fully, so the totals are identical).
         """
-        del start_depth  # the search always starts at depth 0
         if not compiled:
             yield None
             return
@@ -254,9 +195,7 @@ class LocalMatcher:
         while depth >= 0:
             frame = stack[depth]
             if frame is None:
-                survivors, tried = frontier(
-                    compiled[depth], assignment, shard if depth == 0 else None
-                )
+                survivors, tried = frontier(compiled[depth], assignment)
                 self.search_steps += tried
                 frame = [survivors, 0]
                 stack[depth] = frame

@@ -125,7 +125,6 @@ class SignatureIndex:
         self._bits_by_id = bits_by_id
         self._encoded = encoded
         self._applied_version = self._graph.version
-        self._matrix = None
 
     def _current(self) -> EncodedGraph:
         """The graph's current encoded view, resyncing the bits if stale.
@@ -161,7 +160,6 @@ class SignatureIndex:
                 bits_by_id[s] |= subject_bits
                 bits_by_id[o] |= object_bits
             self._applied_version = self._graph.version
-            self._matrix = None
         return encoded
 
     @property
@@ -175,52 +173,21 @@ class SignatureIndex:
             return VertexSignature(0, self._width)
         return VertexSignature(self._bits_by_id[vertex_id], self._width)
 
-    def bits_table(self, encoded: EncodedGraph) -> List[int]:
+    def bits_matrix(self, encoded: EncodedGraph) -> List[int]:
         """The per-id signature bits, aligned with ``encoded``'s dictionary.
 
-        The kernel-side fast path: callers index the returned list with ids
-        from ``encoded`` directly.  Raises ``ValueError`` when ``encoded``
-        is not this index's graph's current view (id spaces would differ).
+        The kernel-side fast path: row ``i`` is term ``i``'s bitset, so
+        callers index the returned list with ids from ``encoded`` directly
+        and check containment with one integer AND.  Resyncs the bits after
+        a graph mutation first (see :meth:`_current`).  Raises
+        ``ValueError`` when ``encoded`` is not this index's graph's current
+        view (id spaces would differ).
         """
         if encoded is not self._current():
             raise ValueError(
                 "signature index belongs to a different graph than the encoded view"
             )
         return self._bits_by_id
-
-    def bits_matrix(self, encoded: EncodedGraph):
-        """The signature bits as an ``(n_terms, words)`` uint64 numpy matrix.
-
-        The vectorized kernel's view of :meth:`bits_table`: row ``i`` holds
-        term ``i``'s bitset split into little-endian 64-bit words, so
-        signature containment over a whole candidate column is one broadcast
-        AND-compare instead of per-id Python big-int ops.  Built lazily,
-        memoized until the bits change (rebuild or journal patch).  Raises
-        ``ValueError`` when numpy is unavailable or ``encoded`` is stale —
-        same contract as :meth:`bits_table`.
-        """
-        if encoded is not self._current():
-            raise ValueError(
-                "signature index belongs to a different graph than the encoded view"
-            )
-        matrix = self._matrix
-        if matrix is None:
-            from .kernel import numpy_or_none
-
-            np = numpy_or_none()
-            if np is None:
-                raise ValueError("bits_matrix needs numpy; use bits_table instead")
-            mask = 0xFFFFFFFFFFFFFFFF
-            words = (self._width + 63) // 64
-            matrix = np.array(
-                [
-                    [(bits >> (64 * word)) & mask for word in range(words)]
-                    for bits in self._bits_by_id
-                ],
-                dtype=np.uint64,
-            ).reshape(len(self._bits_by_id), words)
-            self._matrix = matrix
-        return matrix
 
     def query_signature(
         self,

@@ -1,55 +1,12 @@
-"""The legacy entry points still work — but say where the new API lives."""
+"""The harness runs without tripping any deprecation warning."""
 
 import warnings
 
-import pytest
-
-import repro
 import repro.bench as bench
-from repro.partition import HashPartitioner
-
-
-class TestQuickstartCluster:
-    def test_warns_and_points_at_repro_open(self):
-        with pytest.warns(DeprecationWarning, match=r"repro\.open"):
-            repro.quickstart_cluster()
-
-    def test_behavior_is_unchanged(self):
-        with pytest.warns(DeprecationWarning):
-            cluster, namespaces = repro.quickstart_cluster(num_fragments=3, strategy="hash")
-        # Same data, same partitioning, same answers as the session path.
-        with repro.open(dataset="paper", sites=3, partitioner="hash") as session:
-            assert cluster.num_sites == session.num_sites == 3
-            assert len(cluster.graph) == len(session.graph)
-            query = repro.parse_query(
-                "PREFIX ex: <http://example.org/> "
-                'SELECT ?p2 WHERE { ?p1 ex:influencedBy ?p2 . ?p1 ex:name "Crispin Wright"@en . }'
-            )
-            with repro.GStoreDEngine(cluster) as engine:
-                legacy = engine.execute(query)
-            assert session.query(query).same_solutions(legacy.results)
-        assert namespaces.resolve("ex:label").value == "http://example.org/label"
-
-
-class TestBenchMakePartitioner:
-    def test_warns_and_points_at_the_replacement(self):
-        with pytest.warns(DeprecationWarning, match=r"repro\.partition\.make_partitioner"):
-            bench.make_partitioner("hash", 3)
-
-    def test_behavior_is_unchanged(self):
-        with pytest.warns(DeprecationWarning):
-            partitioner = bench.make_partitioner("hash", 3)
-        assert isinstance(partitioner, HashPartitioner)
-        assert partitioner.num_fragments == 3
-
-    def test_unknown_strategy_still_raises_key_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                bench.make_partitioner("round_robin", 3)
 
 
 def test_internal_call_paths_do_not_warn():
-    """The harness itself must not route through its own deprecated shim."""
+    """The harness itself must not route through deprecated code paths."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         workload = bench.prepare_workload("YAGO2", num_sites=2)

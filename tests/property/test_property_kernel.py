@@ -1,21 +1,20 @@
-"""Property-based equivalence: every matching kernel vs the object path.
+"""Property-based equivalence: the matching kernel and its oracle vs the object path.
 
-The dictionary-encoding PR swapped the matching kernel under every engine;
-the vectorized-kernel PR split it into three selectable implementations
-(``sets`` / ``python`` / ``vectorized``).  This suite runs the
+The matcher runs on the ``python`` sorted-column kernel, with the
+set-based ``sets`` path kept as an in-tree oracle.  This suite runs the
 *pre-encoding* object path as the reference — the seed's ``LocalMatcher``
 search and candidate computation over ``Node``/``Triple`` objects,
 preserved verbatim in ``benchmarks/kernel_reference.py`` (shared with the
 kernel benchmark so the property suite and the bench gate validate against
-the same baseline) — and asserts, on random graphs and queries, that every
-kernel produces
+the same baseline) — and asserts, on random graphs and queries, that both
+kernels produce
 
 * the identical *sequence* of match assignments (not just the same set),
 * the identical ``search_steps`` work counter — also after graph mutations
-  (incremental adjacency patching) and under depth-0 frontier sharding, and
+  (incremental adjacency patching), and
 * identical result rows and per-stage shipment fingerprints when the kernel
   runs under the distributed engine (serial / threads / processes, workers
-  1, 2 and 8, with and without intra-site sharding).
+  1, 2 and 8).
 """
 
 import os
@@ -39,15 +38,12 @@ from repro.partition import build_partitioned_graph
 from repro.rdf import Triple
 from repro.sparql.query_graph import QueryGraph
 from repro.store import (
+    KERNEL_CHOICES,
     KERNEL_ENV,
-    KERNEL_PYTHON,
-    KERNEL_SETS,
-    KERNEL_VECTORIZED,
     LocalMatcher,
     SignatureIndex,
     evaluate_centralized,
 )
-from repro.store.kernel import numpy_or_none
 
 seeds = st.integers(min_value=0, max_value=5_000)
 fragment_counts = st.integers(min_value=1, max_value=4)
@@ -55,16 +51,11 @@ query_sizes = st.integers(min_value=1, max_value=4)
 constant_probabilities = st.sampled_from([0.0, 0.25, 0.5])
 #: The worker counts the kernel acceptance contract names.
 worker_counts = st.sampled_from([1, 2, 8])
-shard_counts = st.sampled_from([2, 3, 8])
 
 SERIAL = EngineConfig.full().with_options(executor="serial")
 
-#: Every kernel importable in this interpreter (vectorized needs numpy).
-KERNELS = tuple(
-    kernel
-    for kernel in (KERNEL_SETS, KERNEL_PYTHON, KERNEL_VECTORIZED)
-    if kernel != KERNEL_VECTORIZED or numpy_or_none() is not None
-)
+#: The production kernel and the oracle.
+KERNELS = KERNEL_CHOICES
 
 
 @contextmanager
@@ -158,7 +149,7 @@ class TestKernelEquivalence:
 
 
 class TestKernelMatrixEquivalence:
-    """sets == python == vectorized == the object path, always."""
+    """sets == python == the object path, always."""
 
     @given(seeds, query_sizes, constant_probabilities)
     @settings(max_examples=25, deadline=None)
@@ -204,43 +195,17 @@ class TestKernelMatrixEquivalence:
             assert list(matcher.find_matches(query_graph)) == expected, kernel
             assert matcher.search_steps == reference.search_steps, kernel
 
-    @given(seeds, query_sizes, constant_probabilities, shard_counts)
-    @settings(max_examples=15, deadline=None)
-    def test_shard_concatenation_replays_the_unsharded_stream(
-        self, seed, query_edges, constant_probability, num_shards
-    ):
-        """Depth-0 frontier shards partition the search exactly: bindings
-        concatenated in shard order equal the unsharded sequence and the
-        per-shard ``search_steps`` sum to the unsharded total — for every
-        kernel."""
-        graph = random_graph(seed, num_vertices=16, num_edges=32, num_predicates=3)
-        query = random_connected_query(
-            graph, seed + 101, num_edges=query_edges, constant_probability=constant_probability
-        )
-        for kernel in KERNELS:
-            matcher = LocalMatcher(graph, kernel=kernel)
-            unsharded = matcher.raw_matches(query)
-            unsharded_steps = matcher.search_steps
-            combined = []
-            steps = 0
-            for index in range(num_shards):
-                combined.extend(matcher.shard_matches(query, index, num_shards))
-                steps += matcher.search_steps
-            assert combined == unsharded, kernel
-            assert steps == unsharded_steps, kernel
-
 
 class TestDistributedKernelParity:
-    """Kernel choice and intra-site sharding are invisible to the engines."""
+    """Kernel choice is invisible to the engines."""
 
     @given(seeds, fragment_counts, query_sizes, worker_counts)
     @settings(max_examples=8, deadline=None)
-    def test_kernels_and_shards_are_invisible_to_the_engine(
+    def test_kernels_are_invisible_to_the_engine(
         self, seed, num_fragments, query_edges, workers
     ):
-        """For every kernel, serial × shards_per_site ∈ {1, 3} and threaded
-        × shards_per_site = 2 at workers 1/2/8 all reproduce the reference
-        rows and per-stage shipment fingerprints."""
+        """For every kernel, serial and threaded execution at workers 1/2/8
+        reproduce the reference rows and per-stage shipment fingerprints."""
         graph = random_graph(seed, num_vertices=16, num_edges=32, num_predicates=3)
         query = random_connected_query(graph, seed + 101, num_edges=query_edges)
         assignment = random_assignment(graph, seed + 7, num_fragments)
@@ -254,20 +219,12 @@ class TestDistributedKernelParity:
 
         for kernel in KERNELS:
             with kernel_env(kernel):
-                for shards in (1, 3):
-                    cluster.reset_network()
-                    config = SERIAL.with_options(shards_per_site=shards)
-                    outcome = GStoreDEngine(cluster, config).execute(query)
-                    assert sorted_rows(outcome.results) == reference_rows, (kernel, shards)
-                    assert stage_shipment_snapshot(outcome) == reference_snapshot, (
-                        kernel,
-                        shards,
-                    )
                 cluster.reset_network()
-                threaded_config = EngineConfig.full().with_workers(workers).with_options(
-                    shards_per_site=2
-                )
-                engine = GStoreDEngine(cluster, threaded_config)
+                outcome = GStoreDEngine(cluster, SERIAL).execute(query)
+                assert sorted_rows(outcome.results) == reference_rows, kernel
+                assert stage_shipment_snapshot(outcome) == reference_snapshot, kernel
+                cluster.reset_network()
+                engine = GStoreDEngine(cluster, EngineConfig.full().with_workers(workers))
                 threaded = engine.execute(query)
                 engine.close()
                 assert sorted_rows(threaded.results) == reference_rows, kernel
@@ -295,9 +252,7 @@ class TestProcessPoolKernelParity:
         with kernel_env(kernel):
             cluster.reset_network()
             with ProcessPoolBackend(max_workers=workers) as backend:
-                config = EngineConfig.full().with_executor("processes", workers).with_options(
-                    shards_per_site=2
-                )
+                config = EngineConfig.full().with_executor("processes", workers)
                 engine = GStoreDEngine(cluster, config, backend=backend)
                 outcome = engine.execute(query)
                 engine.close()

@@ -151,7 +151,7 @@ class TestKernelSurvivesMutation:
             (zed, A),
         }
 
-    def test_bits_table_rejects_a_foreign_encoded_view(self):
+    def test_bits_matrix_rejects_a_foreign_encoded_view(self):
         import pytest
         from repro.store import SignatureIndex
 
@@ -159,4 +159,4 @@ class TestKernelSurvivesMutation:
         other = RDFGraph([Triple(A, KNOWS, B)])
         index = SignatureIndex(graph)
         with pytest.raises(ValueError, match="different graph"):
-            index.bits_table(encoded_view(other))
+            index.bits_matrix(encoded_view(other))

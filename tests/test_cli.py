@@ -28,6 +28,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["query", "--query", "SELECT * WHERE { ?s ?p ?o }"])
 
+    def test_query_has_no_kernel_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["query", "--data", "x.nt", "--query", "SELECT * WHERE { ?s ?p ?o }", "--kernel", "python"]
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_generate_writes_ntriples(self, dataset_file):
